@@ -1,4 +1,4 @@
-//! DESIGN.md ablation D2: the noise schedule (paper Eq. 7–8).
+//! Schedule ablation: the noise schedule (paper Eq. 7–8).
 //!
 //! Measures (a) reverse-sampling cost as a function of the step count K —
 //! the knob trading sample quality for time — and (b) prints the mixing
@@ -25,7 +25,7 @@ fn reverse_cost_vs_steps(c: &mut Criterion) {
 
 fn mixing_report(_c: &mut Criterion) {
     // Not a timing measurement: a convergence report printed once per
-    // bench run, recorded in EXPERIMENTS.md.
+    // bench run.
     println!("\n=== schedule mixing steps (|cumulative_flip - 0.5| < 1e-6) ===");
     let linear = NoiseSchedule::linear(1000, 0.01, 0.5).unwrap();
     println!(

@@ -51,7 +51,7 @@ fn sampling(c: &mut Criterion) {
             sampler.sample_batch_with(&denoiser, 16, 8, &mut rngs, &mut scratch)
         })
     });
-    // The micro-batched inference path `GenerationSession` actually runs:
+    // The micro-batched inference path `PatternService` actually runs:
     // 8 lock-step chains per U-Net call, prepacked weights, warm scratch.
     // The reported time is per *call* — divide by 8 for the per-topology
     // cost comparable to `topology_per_sample`.

@@ -763,18 +763,16 @@ fn demo(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = build_pipeline(options, &mut rng)?;
     eprintln!("training {iters} iterations...");
     let _ = pipeline.train(iters, &mut rng)?;
-    let model = pipeline.trained_model()?;
-    let session = pipeline
-        .session_builder(&model)
+    let spec = pipeline.request_spec(count).seed(seed);
+    let service = PatternService::builder(Arc::new(pipeline.into_trained_model()?))
         .threads(threads)
-        .seed(seed)
         .build()?;
-    let batch = session.generate(count)?;
+    let batch = service.generate(&spec)?;
     for g in &batch.items {
         println!(
             "--- pattern {} (DRC clean: {}, attempts {}) ---",
             g.provenance.index,
-            check_pattern(&g.pattern, session.rules()).is_clean(),
+            check_pattern(&g.pattern, &spec.rules).is_clean(),
             g.provenance.attempts
         );
         println!("{}", pattern_to_ascii(&g.pattern, 48, 20));

@@ -1,7 +1,6 @@
-//! The shared generation engine behind [`crate::PatternService`] and
-//! [`crate::GenerationSession`]: a request scheduler whose workers fill
-//! each denoising micro-batch with lanes drawn from **multiple pending
-//! requests**.
+//! The generation engine behind [`crate::PatternService`]: a request
+//! scheduler whose workers fill each denoising micro-batch with lanes
+//! drawn from **multiple pending requests**.
 //!
 //! Every requested item is a *lane* with its own RNG derived from
 //! `(request seed, item index)` (splitmix64 finaliser). Because the
@@ -13,11 +12,9 @@
 //! admission order, concurrent load, priorities) chooses *when* a lane
 //! runs, never *what* it produces.
 //!
-//! The module is internal; the public faces are [`crate::PatternService`]
-//! (persistent workers over an owned `Arc<TrainedModel>`) and
-//! [`crate::GenerationSession`] (one-shot scoped workers over a borrowed
-//! model). Both run [`run_worker`] verbatim, so every session test also
-//! exercises the service core.
+//! The module is internal; its public face is [`crate::PatternService`],
+//! whose persistent workers each run [`run_worker`] over an owned
+//! `Arc<TrainedModel>`.
 
 use crate::{GenerateError, Generated, PipelineReport, Provenance};
 use dp_diffusion::{BatchScratch, Conditioning, Precision, Sampler, TrainedModel};
@@ -155,16 +152,13 @@ struct Sched {
 }
 
 /// The scheduler: a queue of admitted requests plus the sampling
-/// geometry workers need to draw lanes. Workers block on the condvar in
-/// service mode and exit when idle in one-shot (session) mode.
+/// geometry workers need to draw lanes. Idle workers block on the
+/// condvar until work arrives or the engine shuts down.
 pub(crate) struct Engine {
     sampler: Sampler,
     channels: usize,
     side: usize,
     micro_batch: usize,
-    /// One-shot mode: workers return instead of parking when the queue is
-    /// empty (used by `GenerationSession`'s scoped workers).
-    exit_when_idle: bool,
     /// Admission bound on *pending* (not yet fully claimed) requests;
     /// 0 means unbounded.
     max_queued: usize,
@@ -201,7 +195,6 @@ impl Engine {
         channels: usize,
         side: usize,
         micro_batch: usize,
-        exit_when_idle: bool,
         max_queued: usize,
     ) -> Self {
         Engine {
@@ -209,7 +202,6 @@ impl Engine {
             channels,
             side,
             micro_batch: micro_batch.max(1),
-            exit_when_idle,
             max_queued,
             lanes_in_flight: AtomicUsize::new(0),
             bf16_model: OnceLock::new(),
@@ -387,8 +379,8 @@ impl Engine {
     /// (stride, precision and conditioning); requests on a different plan
     /// wait for their own batch.
     ///
-    /// Returns `None` when the engine is shut down, or — in one-shot mode
-    /// — when no claimable work remains.
+    /// Blocks while no claimable work is queued; returns `None` once the
+    /// engine is shut down.
     fn claim(&self) -> Option<Vec<Lane>> {
         let mut sched = self.lock_sched();
         loop {
@@ -445,9 +437,6 @@ impl Engine {
                 self.lanes_in_flight
                     .fetch_add(lanes.len(), Ordering::Relaxed);
                 return Some(lanes);
-            }
-            if self.exit_when_idle {
-                return None;
             }
             // Park until new work arrives — or, when some queued request
             // carries a deadline, at most until that deadline, so expiry
@@ -649,32 +638,18 @@ fn finish_lane(
     }
 }
 
-/// The worker loop both engines run: claim a cross-request micro-batch,
-/// drive it to completion with one reused [`BatchScratch`], deliver each
-/// lane's message to its own request, repeat until the engine says stop.
+/// The worker loop: claim a cross-request micro-batch, drive it to
+/// completion with one reused [`BatchScratch`], deliver each lane's
+/// message to its own request, repeat until the engine shuts down.
 ///
 /// Messages are sent in lane order, so a single worker serving a single
-/// request streams items in index order — the `GenerationSession`
-/// contract PR 2 documented.
-pub(crate) fn run_worker(model: &TrainedModel, engine: &Engine) {
-    run_worker_observed(model, engine, || true);
-}
-
-/// [`run_worker`] with a hook invoked after each chunk's messages are
-/// delivered; returning `false` stops the loop (the session's inline
-/// single-worker path uses it to drain the request channel between
-/// chunks — keeping `generate_streaming` incremental and the channel
-/// short — and to fail fast on the first structural error).
+/// request streams items in index order.
 ///
 /// If the loop unwinds (a panic anywhere in sampling or solving), the
 /// engine is shut down on the way out: queued requests' senders drop, so
 /// outstanding `RequestHandle`s disconnect instead of blocking forever
 /// on a pool that lost its worker. The panic still propagates.
-pub(crate) fn run_worker_observed(
-    model: &TrainedModel,
-    engine: &Engine,
-    mut after_chunk: impl FnMut() -> bool,
-) {
+pub(crate) fn run_worker(model: &TrainedModel, engine: &Engine) {
     struct PanicGuard<'e> {
         engine: &'e Engine,
         finished: bool,
@@ -707,53 +682,13 @@ pub(crate) fn run_worker_observed(
             });
             engine.lanes_in_flight.fetch_sub(1, Ordering::Relaxed);
         }
-        if !after_chunk() {
-            break;
-        }
     }
     guard.finished = true;
 }
 
-/// Shared request-parameter validation: both `SessionBuilder::build` and
-/// `PatternService::submit` gate on it, so a spec rejected by one path
-/// can never slip through the other.
-pub(crate) fn validate_request(
-    stride: usize,
-    max_attempts: usize,
-    matrix_side: usize,
-    solver: &dp_legalize::SolverConfig,
-) -> Result<(), crate::ConfigError> {
-    if stride == 0 {
-        return Err(crate::ConfigError::ZeroStride);
-    }
-    if max_attempts == 0 {
-        return Err(crate::ConfigError::ZeroAttempts);
-    }
-    if (matrix_side as i64) > solver.target_width || (matrix_side as i64) > solver.target_height {
-        return Err(crate::ConfigError::WindowTooSmall {
-            matrix_side,
-            target_width: solver.target_width,
-            target_height: solver.target_height,
-        });
-    }
-    Ok(())
-}
-
-/// Resolves a `threads` knob: 0 means the machine's available
-/// parallelism (shared by the session and service builders).
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 /// Legalizes one topology into up to `variants` distinct patterns with
-/// full failure accounting — shared by
-/// `GenerationSession::legalize_variants` and `DiffusionVariantsSource`.
+/// full failure accounting (DiffPattern-L, paper Fig. 7; the core of
+/// `DiffusionVariantsSource`).
 pub(crate) fn legalize_variants_with(
     solver: &Solver,
     topology: &BitGrid,

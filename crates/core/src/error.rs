@@ -70,8 +70,9 @@ impl From<GenerateError> for PipelineError {
 }
 
 /// A rejected configuration — returned by the builders
-/// ([`crate::GenerationSession::builder`], [`crate::Pipeline::from_tiles`])
-/// instead of panicking, so services can validate untrusted configs.
+/// ([`crate::ServiceBuilder::build`], [`crate::Pipeline::from_tiles`]) and
+/// by [`crate::PatternService::submit`] instead of panicking, so services
+/// can validate untrusted configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {

@@ -16,8 +16,8 @@
 //! the `dpgen library build --stop-after` path honest: dropping
 //! mid-drain loses exactly the uncommitted tail, nothing else.
 
+use crate::service::Generated;
 use crate::service::RequestHandle;
-use crate::session::Generated;
 use dp_library::{IngestOutcome, LibraryError, LibraryWriter};
 use std::collections::BTreeMap;
 

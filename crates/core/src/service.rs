@@ -1,22 +1,19 @@
 //! [`PatternService`]: a long-lived, multi-request generation engine with
-//! **cross-request micro-batching**.
+//! **cross-request micro-batching** — the crate's one generation API.
 //!
-//! Where a [`crate::GenerationSession`] borrows a model and spins up a
-//! worker pool per `generate()` call, a service *owns* an
-//! [`Arc<TrainedModel>`] and keeps a **persistent worker pool** that
-//! multiplexes many concurrent requests: every denoising micro-batch is
-//! filled with lanes drawn from as many pending requests as needed, so
-//! eight concurrent `count = 2` requests sample at batch 8 instead of
-//! eight times at batch 2. Handles are `'static` and `Send`, the service
-//! itself is cheaply clonable (clones share the engine), and dropping a
-//! [`RequestHandle`] cancels its remaining work.
+//! A service *owns* an [`Arc<TrainedModel>`] and keeps a **persistent
+//! worker pool** that multiplexes many concurrent requests: every
+//! denoising micro-batch is filled with lanes drawn from as many pending
+//! requests as needed, so eight concurrent `count = 2` requests sample at
+//! batch 8 instead of eight times at batch 2. Handles are `'static` and
+//! `Send`, the service itself is cheaply clonable (clones share the
+//! engine), and dropping a [`RequestHandle`] cancels its remaining work.
 //!
 //! # Determinism under load
 //!
 //! A request's output is **bit-identical regardless of concurrent load,
-//! worker count, or admission order** — the same invariant the session
-//! pinned for intra-call batching, extended across requests. The argument
-//! has three independent layers:
+//! worker count, micro-batch size, or admission order**. The argument has
+//! three independent layers:
 //!
 //! 1. every lane (batch slot) derives its RNG from
 //!    `splitmix64(request seed, item index)` — nothing it draws depends on
@@ -60,11 +57,11 @@
 //! ```
 
 use crate::engine::{self, Engine, LaneMsg, Mode, Payload, RequestJob};
-use crate::{ConfigError, GenerateError, Generated, Generation, PipelineError, PipelineReport};
+use crate::{ConfigError, GenerateError, PipelineError, PipelineReport};
 use dp_diffusion::{Conditioning, Precision, TrainedModel};
 use dp_drc::DesignRules;
 use dp_geometry::BitGrid;
-use dp_legalize::{Solver, SolverConfig};
+use dp_legalize::{SolveStats, Solver, SolverConfig};
 use dp_squish::SquishPattern;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -99,7 +96,7 @@ pub struct RequestSpec {
     /// seed, bit-identical content). This is what makes resumed library
     /// builds and seed-space shards exact sub-ranges of one logical
     /// stream rather than approximations of it. Streamed
-    /// [`crate::Provenance::index`] values stay `0..count`-relative; add
+    /// [`Provenance::index`] values stay `0..count`-relative; add
     /// `first_index` to recover the absolute index.
     pub first_index: usize,
     /// Scheduling priority — higher runs earlier when the pool is
@@ -151,10 +148,9 @@ pub struct RequestSpec {
 }
 
 impl RequestSpec {
-    /// A spec for `count` patterns with the same defaults as
-    /// [`crate::SessionBuilder`]: standard rules, the paper's 2048 nm
-    /// window, full-chain sampling, 4 attempts, repair on, priority 0,
-    /// seed 0, no donors.
+    /// A spec for `count` patterns with the default settings: standard
+    /// rules, the paper's 2048 nm window, full-chain sampling, 4 attempts,
+    /// repair on, priority 0, seed 0, no donors.
     pub fn new(count: usize) -> Self {
         RequestSpec {
             count,
@@ -272,13 +268,18 @@ impl ServiceBuilder {
         if self.micro_batch == 0 {
             return Err(ConfigError::ZeroMicroBatch);
         }
-        let threads = engine::resolve_threads(self.threads);
+        let threads = if self.threads == 0 {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        } else {
+            self.threads
+        };
         let engine = Arc::new(Engine::new(
             self.model.sampler(),
             self.model.channels(),
             self.model.side(),
             self.micro_batch,
-            false,
             self.max_queued,
         ));
         let mut workers = Vec::with_capacity(threads);
@@ -459,12 +460,22 @@ impl PatternService {
     }
 
     fn submit_mode(&self, spec: &RequestSpec, mode: Mode) -> Result<RequestHandle, ConfigError> {
-        engine::validate_request(
-            spec.sample_stride,
-            spec.max_attempts,
-            self.core.model.matrix_side(),
-            &spec.solver,
-        )?;
+        if spec.sample_stride == 0 {
+            return Err(ConfigError::ZeroStride);
+        }
+        if spec.max_attempts == 0 {
+            return Err(ConfigError::ZeroAttempts);
+        }
+        let matrix_side = self.core.model.matrix_side();
+        if (matrix_side as i64) > spec.solver.target_width
+            || (matrix_side as i64) > spec.solver.target_height
+        {
+            return Err(ConfigError::WindowTooSmall {
+                matrix_side,
+                target_width: spec.solver.target_width,
+                target_height: spec.solver.target_height,
+            });
+        }
         if spec.first_index.checked_add(spec.count).is_none() {
             return Err(ConfigError::IndexOverflow {
                 first_index: spec.first_index,
@@ -536,6 +547,45 @@ pub struct ServiceStats {
     pub lanes_in_flight: usize,
 }
 
+/// Where a generated pattern came from: enough to reproduce it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Provenance {
+    /// Position of this item in the request (`0..count`; add
+    /// [`RequestSpec::first_index`] for the absolute index).
+    pub index: usize,
+    /// The per-item RNG seed (derived from the request seed and the
+    /// absolute item index).
+    pub seed: u64,
+    /// Sampling attempts consumed, including the successful one.
+    pub attempts: usize,
+    /// Whether the bow-tie pre-filter repaired the topology.
+    pub repaired: bool,
+    /// Convergence statistics of the legalization solve.
+    pub solve: SolveStats,
+}
+
+/// One streamed generation result: a DRC-clean pattern plus its
+/// [`Provenance`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Generated {
+    /// The legal squish pattern.
+    pub pattern: SquishPattern,
+    /// How it was produced.
+    pub provenance: Provenance,
+}
+
+/// A completed request: items in index order plus the aggregated
+/// per-lane reports.
+#[derive(Debug, Clone)]
+pub struct Generation {
+    /// The generated patterns, sorted by [`Provenance::index`].
+    pub items: Vec<Generated>,
+    /// Merged statistics of every lane, including the
+    /// [`PipelineReport::shortfall`] count of slots that exhausted their
+    /// attempt budget.
+    pub report: PipelineReport,
+}
+
 /// Outcome of one [`RequestHandle::recv_timeout`] poll.
 #[derive(Debug)]
 pub enum RecvPoll {
@@ -578,8 +628,9 @@ impl RequestHandle {
     /// Receives the next generated pattern, blocking until one is ready.
     /// Returns `None` when the request is complete (every lane delivered
     /// or counted as shortfall), cancelled, or the service was dropped.
-    /// Items arrive in completion order; [`crate::Provenance::index`]
-    /// gives each item's position in the request.
+    /// Items arrive in completion order (index order on a one-worker
+    /// service); [`Provenance::index`] gives each item's position in the
+    /// request.
     pub fn recv(&mut self) -> Option<Generated> {
         loop {
             match self.recv_payload()? {
@@ -663,8 +714,7 @@ impl RequestHandle {
     }
 
     /// Drains the request to completion and returns the items in index
-    /// order with the aggregated report — the same shape
-    /// [`crate::GenerationSession::generate`] produces.
+    /// order with the aggregated report.
     ///
     /// # Errors
     ///
@@ -710,7 +760,7 @@ impl RequestHandle {
     }
 
     /// The spec's [`RequestSpec::first_index`]: streamed
-    /// [`crate::Provenance::index`] values are `0..count`-relative;
+    /// [`Provenance::index`] values are `0..count`-relative;
     /// `first_index + index` is the absolute item index.
     pub fn first_index(&self) -> usize {
         self.first_index

@@ -2,8 +2,8 @@
 //! dataset.
 //!
 //! The paper generates 100 000 topologies per method on GPU clusters; the
-//! harness scales the counts by configuration (see `EXPERIMENTS.md` for
-//! the sizes used in the recorded run) while keeping the comparison
+//! harness scales the counts by configuration (the `table1_comparison`
+//! example's `DP_GENERATE` knob sets the size) while keeping the comparison
 //! structure identical. Every generation method — the four baselines and
 //! both DiffPattern modes — runs through the same [`PatternSource`]
 //! interface, so adding a method to the table means adding one source to

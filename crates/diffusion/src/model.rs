@@ -25,8 +25,8 @@ const VERSION: u32 = 2;
 ///
 /// Everything on this type takes `&self` and the type is `Sync`, so a
 /// single instance can be shared by reference across worker threads —
-/// the foundation of `GenerationSession`'s thread-parallel batch
-/// generation in the facade crate.
+/// the foundation of `PatternService`'s thread-parallel generation in
+/// the facade crate.
 ///
 /// Obtain one from [`crate::Trainer::finish`] after training, or restore a
 /// previously saved model with [`TrainedModel::load`].

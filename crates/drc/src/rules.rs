@@ -9,7 +9,6 @@ use dp_geometry::Coord;
 /// because the neighbouring geometry in the adjacent tile is unknown — the
 /// same convention a tile-mode KLayout deck uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DesignRules {
     space_min: Coord,
     width_min: Coord,

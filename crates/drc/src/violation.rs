@@ -3,7 +3,6 @@ use std::fmt;
 
 /// Axis along which a distance rule is measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Axis {
     /// Horizontal measurement (along a row).
     X,
@@ -22,7 +21,6 @@ impl fmt::Display for Axis {
 
 /// A single design-rule violation with its physical location.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Violation {
     /// Two polygons closer than `space_min`.

@@ -19,7 +19,6 @@ use std::fmt;
 /// # }
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitGrid {
     width: usize,
     height: usize,

@@ -8,7 +8,6 @@ use crate::{BitGrid, Coord, GeometryError, Rect};
 /// patterns (paper Fig. 2) are extracted, and back into which legalized
 /// patterns are restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Layout {
     window: Rect,
     rects: Vec<Rect>,

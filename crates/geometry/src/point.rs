@@ -16,7 +16,6 @@ use std::ops::{Add, Sub};
 /// assert_eq!(a.manhattan_distance(b), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (nm).
     pub x: Coord,

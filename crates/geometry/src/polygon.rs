@@ -9,7 +9,6 @@ use crate::{BitGrid, Coord, Point};
 /// directed edges; [`RectilinearPolygon::edge_tokens`] produces exactly that
 /// decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RectilinearPolygon {
     vertices: Vec<Point>,
 }

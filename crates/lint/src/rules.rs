@@ -38,8 +38,10 @@ pub const RULES: &[RuleDef] = &[
         exclude: &[
             // Deadlines and latency histograms are the serving tier's job.
             "crates/serve/",
-            // Benches and the table2 efficiency harness measure time by design.
+            // Benches, the pipeline benchmark and the table2 efficiency
+            // harness measure time by design.
             "crates/bench/",
+            "perfbench/",
             "crates/core/src/table2.rs",
             // The criterion shim is a timing harness.
             "shims/",
@@ -74,7 +76,6 @@ pub const RULES: &[RuleDef] = &[
         include: &[
             "crates/core/src/engine.rs",
             "crates/core/src/service.rs",
-            "crates/core/src/session.rs",
             "crates/core/src/source.rs",
             "crates/diffusion/src/",
         ],

@@ -15,9 +15,9 @@
 //! threads. The thread budget is `min(available_parallelism,
 //! DP_MAX_THREADS)` (the env var is read once per process), and inner
 //! parallelism can be disabled for a region with
-//! [`with_inner_gemm_parallelism`] — `GenerationSession` workers do this
-//! so data-parallel GEMM threads are never nested inside already-parallel
-//! sampling workers (thread oversubscription). Row partitioning never
+//! [`with_inner_gemm_parallelism`] — multi-worker `PatternService` pools
+//! do this so data-parallel GEMM threads are never nested inside
+//! already-parallel sampling workers (thread oversubscription). Row partitioning never
 //! changes per-element accumulation order, so results are bit-identical
 //! at every thread count.
 

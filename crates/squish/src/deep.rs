@@ -35,7 +35,6 @@ use dp_geometry::BitGrid;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeepSquishTensor {
     channels: usize,
     side: usize,

@@ -10,7 +10,6 @@ use dp_geometry::{BitGrid, Coord, GeometryError, Layout, Rect};
 /// nanometres. The representation is lossless: [`SquishPattern::decode`]
 /// reconstructs the layout exactly (up to rectangle decomposition).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SquishPattern {
     topology: BitGrid,
     dx: Vec<Coord>,

@@ -2,14 +2,14 @@
 //!
 //! PR 1's baseline put one topology sample at **19.6 ms** — topology
 //! sampling utterly dominates generation (a legalization solve is ~27 µs).
-//! With an immutable [`diffpattern::TrainedModel`] shared across
-//! `std::thread::scope` workers, batch sampling scales with cores while
-//! staying bit-identical per seed. This example measures exactly that:
-//! the same 16-topology batch at 1, 2, 4, ... threads, verifying the
-//! outputs match before reporting the speedups.
+//! With an immutable [`diffpattern::TrainedModel`] shared by a
+//! [`diffpattern::PatternService`]'s worker pool, batch sampling scales
+//! with cores while staying bit-identical per seed. This example measures
+//! exactly that: the same 16-topology request at 1, 2, 4, ... workers,
+//! verifying the outputs match before reporting the speedups.
 //!
 //! ```text
-//! cargo run --release --example session_scaling
+//! cargo run --release --example service_scaling
 //! ```
 //!
 //! The second sweep varies the sampling **micro-batch** (lock-step
@@ -22,8 +22,9 @@
 //! (batch size, default 16), `DP_MAX_THREADS` (default = available
 //! parallelism), `DP_SEED`.
 
-use diffpattern::{Pipeline, PipelineConfig};
+use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng)?;
     println!("training for {train_iters} iterations...");
     let _ = pipeline.train(train_iters, &mut rng)?;
-    let model = pipeline.trained_model()?;
+    let spec = pipeline.request_spec(batch).seed(seed);
+    let model = Arc::new(pipeline.into_trained_model()?);
 
     println!(
         "\nbatch of {batch} topologies, hardware parallelism {hw_threads}:\n\n{:<8} {:>12} {:>12} {:>9}",
@@ -51,13 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut runs = 0usize;
     let mut threads = 1;
     while threads <= max_threads {
-        let session = pipeline
-            .session_builder(&model)
+        let service = PatternService::builder(Arc::clone(&model))
             .threads(threads)
-            .seed(seed)
             .build()?;
         let start = Instant::now();
-        let (topologies, report) = session.sample_topologies(batch);
+        let (topologies, report) = service.sample_topologies(&spec)?;
         let total = start.elapsed().as_secs_f64();
         if threads == 1 {
             serial_total = total;
@@ -98,14 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut mb_serial_total = 0.0f64;
     for micro_batch in [1usize, 2, 4, 8, 16] {
-        let session = pipeline
-            .session_builder(&model)
+        let service = PatternService::builder(Arc::clone(&model))
             .threads(1)
             .micro_batch(micro_batch)
-            .seed(seed)
             .build()?;
         let start = Instant::now();
-        let (topologies, _) = session.sample_topologies(batch);
+        let (topologies, _) = service.sample_topologies(&spec)?;
         let total = start.elapsed().as_secs_f64();
         if micro_batch == 1 {
             mb_serial_total = total;

@@ -87,7 +87,7 @@ fn steady_state_sampling_allocates_nothing_per_denoising_step() {
     let sampler_long = long.sampler();
     let mut scratch = SampleScratch::new();
 
-    // Inner GEMM threads would allocate on spawn; sessions disable them in
+    // Inner GEMM threads would allocate on spawn; service pools disable them in
     // workers, so the measurement mirrors the worker configuration.
     with_inner_gemm_parallelism(false, || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);

@@ -92,7 +92,7 @@ fn steady_state_batched_sampling_allocates_nothing_per_denoising_step() {
             .collect()
     };
 
-    // Inner GEMM threads would allocate on spawn; sessions disable them in
+    // Inner GEMM threads would allocate on spawn; service pools disable them in
     // workers, so the measurement mirrors the worker configuration.
     with_inner_gemm_parallelism(false, || {
         // Warm-up: size the workspace pool and the concatenated p1 buffer.

@@ -1,13 +1,14 @@
-//! Integration tests for the [`PatternService`] serving engine: the
-//! cross-request determinism contract (load-, worker-count- and
-//! admission-order-independence), cancellation semantics, handle
-//! streaming, and the session ↔ service equivalence that makes
-//! `GenerationSession` a thin adapter over the same core.
+//! Integration tests for the [`PatternService`] generation engine: the
+//! determinism contract (independent of load, worker count, micro-batch
+//! size and admission order), edge-case request sizes, shortfall
+//! accounting, cancellation semantics, handle streaming, model
+//! persistence and the `PatternSource` adapter.
 
-use diffpattern::drc::check_pattern;
+use diffpattern::drc::{check_pattern, DesignRules};
+use diffpattern::legalize::SolverConfig;
 use diffpattern::{
-    ConfigError, Generated, PatternService, Pipeline, PipelineConfig, RecvPoll, RequestSpec,
-    TrainedModel,
+    ConfigError, DiffusionSource, Generated, PatternService, PatternSource, Pipeline,
+    PipelineConfig, RecvPoll, RequestSpec, TrainedModel,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -93,44 +94,170 @@ fn request_output_is_independent_of_load_workers_and_order() {
 }
 
 #[test]
-fn session_and_service_share_one_engine_bit_for_bit() {
-    // `GenerationSession::generate` is a thin adapter over the service
-    // core, so the same seed and config must produce the same bytes
-    // through either API.
-    let (model, base, pipeline) = trained(71, 4);
-    let session = pipeline
-        .session_builder(&model)
-        .threads(2)
-        .seed(45)
+fn request_output_is_bit_identical_across_micro_batch_sizes_and_threads() {
+    // Neither the number of lock-step denoising lanes nor the worker
+    // count may change a single bit of the output — only the seed does.
+    let (model, base, _) = trained(60, 4);
+    let spec = RequestSpec {
+        count: 6,
+        ..base.clone()
+    }
+    .seed(31);
+    let run = |micro_batch: usize, threads: usize, spec: &RequestSpec| {
+        PatternService::builder(Arc::clone(&model))
+            .micro_batch(micro_batch)
+            .threads(threads)
+            .build()
+            .unwrap()
+            .generate(spec)
+            .unwrap()
+    };
+    let reference = run(1, 1, &spec);
+    assert_eq!(
+        reference.items.len() + reference.report.shortfall,
+        6,
+        "accounting must be closed"
+    );
+    for micro_batch in [1usize, 3, 8] {
+        for threads in [1usize, 2, 4] {
+            let other = run(micro_batch, threads, &spec);
+            assert_eq!(
+                reference.items, other.items,
+                "micro_batch={micro_batch} threads={threads} changed the request"
+            );
+            assert_eq!(reference.report, other.report);
+        }
+    }
+    let other_seed = run(8, 1, &spec.clone().seed(32));
+    assert_ne!(reference.items, other_seed.items, "the seed is the knob");
+}
+
+#[test]
+fn empty_and_undersized_requests_are_well_defined() {
+    // `count = 0` and `micro_batch > count` must neither panic nor hang,
+    // and an empty request reports zero work everywhere.
+    let (model, base, _) = trained(61, 3);
+    let spec = |count: usize| {
+        RequestSpec {
+            count,
+            ..base.clone()
+        }
+        .seed(5)
+    };
+    let build = |micro_batch: usize, threads: usize| {
+        PatternService::builder(Arc::clone(&model))
+            .micro_batch(micro_batch)
+            .threads(threads)
+            .build()
+            .unwrap()
+    };
+    for (micro_batch, threads) in [(1usize, 1usize), (8, 1), (8, 4), (64, 3)] {
+        let svc = build(micro_batch, threads);
+        let empty = svc.generate(&spec(0)).unwrap();
+        assert!(empty.items.is_empty());
+        assert_eq!(empty.report, diffpattern::PipelineReport::default());
+        let (topologies, report) = svc.sample_topologies(&spec(0)).unwrap();
+        assert!(topologies.is_empty());
+        assert_eq!(report, diffpattern::PipelineReport::default());
+        // A request smaller than one micro-batch (and than the pool).
+        let small = svc.generate(&spec(2)).unwrap();
+        assert_eq!(small.items.len() + small.report.shortfall, 2);
+        assert!(small.items.iter().all(|g| g.provenance.index < 2));
+    }
+    // Undersized requests equal the one-lane-per-call path item for item.
+    let reference = build(1, 1).generate(&spec(2)).unwrap();
+    let oversized = build(64, 3).generate(&spec(2)).unwrap();
+    assert_eq!(reference.items, oversized.items);
+    assert_eq!(reference.report, oversized.report);
+}
+
+#[test]
+fn single_worker_streaming_is_in_index_order() {
+    // One worker claims a lone request's chunks in index order and sends
+    // each chunk's messages in lane order, so the handle streams items in
+    // index order as they complete.
+    let (model, base, _) = trained(57, 4);
+    let svc = PatternService::builder(model)
+        .threads(1)
+        .micro_batch(2)
         .build()
         .unwrap();
-    let via_session = session.generate(5).unwrap();
-
-    let svc = service(&model, 2);
-    let via_service = svc
-        .generate(
+    let mut handle = svc
+        .submit(
             &RequestSpec {
                 count: 5,
                 ..base.clone()
             }
-            .seed(45),
+            .seed(6),
         )
         .unwrap();
-    assert_eq!(via_session.items, via_service.items);
-    assert_eq!(via_session.report, via_service.report);
+    let mut indices = Vec::new();
+    while let Some(g) = handle.recv() {
+        indices.push(g.provenance.index);
+    }
+    assert_eq!(indices.len() + handle.report().shortfall, 5);
+    assert!(indices.windows(2).all(|w| w[0] < w[1]), "{indices:?}");
+}
 
-    // Topology sampling agrees too.
-    let (topo_session, _) = session.sample_topologies(3);
-    let (topo_service, _) = svc
-        .sample_topologies(
-            &RequestSpec {
-                count: 3,
-                ..base.clone()
-            }
-            .seed(45),
-        )
+#[test]
+fn exhausted_attempts_surface_as_shortfall_not_silence() {
+    // With rules the solver cannot satisfy, every slot must be reported,
+    // not dropped.
+    let (model, base, _) = trained(53, 3);
+    let harsh = DesignRules::builder()
+        .space_min(900)
+        .width_min(900)
+        .area_range(1, i128::MAX / 4)
+        .build()
         .unwrap();
-    assert_eq!(topo_session, topo_service);
+    let spec = RequestSpec {
+        count: 3,
+        rules: harsh,
+        solver: SolverConfig {
+            max_iterations: 20,
+            max_restarts: 1,
+            ..SolverConfig::for_window(2048, 2048)
+        },
+        max_attempts: 2,
+        ..base.clone()
+    }
+    .seed(11);
+    let batch = service(&model, 2).generate(&spec).unwrap();
+    assert_eq!(batch.items.len() + batch.report.shortfall, 3);
+    if batch.items.is_empty() {
+        assert_eq!(batch.report.shortfall, 3);
+        assert!(batch.report.solver_failures >= 3);
+    }
+}
+
+#[test]
+fn model_save_load_round_trip_generates_identically() {
+    let (model, base, _) = trained(54, 4);
+    let restored = Arc::new(TrainedModel::load(&model.save()).unwrap());
+    let spec = RequestSpec {
+        count: 3,
+        ..base.clone()
+    }
+    .seed(8);
+    let generate = |m: &Arc<TrainedModel>| service(m, 2).generate(&spec).unwrap().items;
+    assert_eq!(generate(&model), generate(&restored));
+}
+
+#[test]
+fn pattern_source_interface_drives_the_service() {
+    let (model, base, _) = trained(55, 4);
+    let svc = service(&model, 1);
+    let spec = base.seed(2);
+    let rules = spec.rules;
+    let mut source: Box<dyn PatternSource + '_> =
+        Box::new(DiffusionSource::new(&svc, spec, "DiffPattern-S"));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+    let batch = source.generate(3, &mut rng).unwrap();
+    assert_eq!(source.name(), "DiffPattern-S");
+    assert_eq!(batch.topologies, Some(batch.patterns.len()));
+    for p in &batch.patterns {
+        assert!(check_pattern(p, &rules).is_clean());
+    }
 }
 
 #[test]
@@ -580,4 +707,138 @@ fn recv_timeout_polls_without_losing_items_or_accounting() {
         RecvPoll::TimedOut
     ));
     drop(fresh);
+}
+
+#[test]
+fn repeated_requests_are_bit_identical_run_to_run() {
+    // Reusing one service (and therefore its workers' warm sampling
+    // scratch) across requests must not change a single bit of what gets
+    // generated: at a fixed seed and worker count, run N equals run 1.
+    let (model, base, _) = trained(51, 4);
+    let spec = RequestSpec {
+        count: 5,
+        ..base.clone()
+    }
+    .seed(7);
+    for threads in [1usize, 3] {
+        let svc = service(&model, threads);
+        let first = svc.generate(&spec).unwrap();
+        for run in 0..2 {
+            let again = svc.generate(&spec).unwrap();
+            assert_eq!(
+                first.items, again.items,
+                "repeat {run} at {threads} workers diverged"
+            );
+            assert_eq!(first.report, again.report);
+        }
+    }
+}
+
+#[test]
+fn more_workers_than_lanes_match_the_single_worker_run() {
+    // A pool larger than the request leaves workers idle; the idle ones
+    // must neither claim phantom lanes nor change the claimed ones.
+    let (model, base, _) = trained(50, 4);
+    let spec = RequestSpec {
+        count: 6,
+        ..base.clone()
+    }
+    .seed(99);
+    let serial = service(&model, 1).generate(&spec).unwrap();
+    let wide = service(&model, 7).generate(&spec).unwrap();
+    assert_eq!(serial.items, wide.items, "7 workers changed the request");
+    assert_eq!(serial.report, wide.report);
+    assert_eq!(wide.items.len() + wide.report.shortfall, 6);
+}
+
+#[test]
+fn generated_patterns_are_drc_clean_with_provenance() {
+    let (model, base, _) = trained(51, 5);
+    let spec = RequestSpec {
+        count: 4,
+        ..base.clone()
+    }
+    .seed(3);
+    let batch = service(&model, 2).generate(&spec).unwrap();
+    assert!(!batch.items.is_empty(), "service produced nothing");
+    let mut last_index = None;
+    for g in &batch.items {
+        let report = check_pattern(&g.pattern, &spec.rules);
+        assert!(report.is_clean(), "{:?}", report.violations());
+        assert_eq!(g.pattern.width(), 2048);
+        assert_eq!(g.pattern.height(), 2048);
+        assert!(g.provenance.attempts >= 1 && g.provenance.attempts <= spec.max_attempts);
+        // `wait` returns items in strictly increasing index order.
+        assert!(Some(g.provenance.index) > last_index);
+        last_index = Some(g.provenance.index);
+    }
+    // Every item draws its own RNG stream.
+    let mut seeds: Vec<u64> = batch.items.iter().map(|g| g.provenance.seed).collect();
+    seeds.sort_unstable();
+    seeds.dedup();
+    assert_eq!(seeds.len(), batch.items.len(), "per-item seeds must differ");
+    // Accounting is closed: every requested slot is a pattern or shortfall.
+    assert_eq!(batch.items.len() + batch.report.shortfall, 4);
+    assert_eq!(batch.report.legal_patterns, batch.items.len());
+}
+
+#[test]
+fn multi_worker_streaming_delivers_every_index_once() {
+    let (model, base, _) = trained(52, 4);
+    let svc = service(&model, 3);
+    let mut handle = svc
+        .submit(
+            &RequestSpec {
+                count: 5,
+                ..base.clone()
+            }
+            .seed(5),
+        )
+        .unwrap();
+    let mut indices = Vec::new();
+    while let Some(g) = handle.recv() {
+        indices.push(g.provenance.index);
+    }
+    let report = handle.report();
+    assert_eq!(indices.len() + report.shortfall, 5);
+    assert_eq!(report.legal_patterns, indices.len());
+    indices.sort_unstable();
+    let streamed = indices.len();
+    indices.dedup();
+    assert_eq!(indices.len(), streamed, "an index was delivered twice");
+    assert!(indices.iter().all(|&i| i < 5), "{indices:?}");
+}
+
+#[test]
+fn topology_sampling_is_independent_of_workers_and_follows_the_seed() {
+    // `sample_topologies` runs the same lanes as `generate`, minus
+    // legalization, so it carries the same determinism contract.
+    let (model, base, _) = trained(71, 4);
+    let spec = RequestSpec {
+        count: 4,
+        ..base.clone()
+    }
+    .seed(45);
+    let sample = |micro_batch: usize, threads: usize, spec: &RequestSpec| {
+        PatternService::builder(Arc::clone(&model))
+            .micro_batch(micro_batch)
+            .threads(threads)
+            .build()
+            .unwrap()
+            .sample_topologies(spec)
+            .unwrap()
+    };
+    let (reference, reference_report) = sample(1, 1, &spec);
+    assert_eq!(reference.len() + reference_report.shortfall, 4);
+    assert_eq!(reference_report.legal_patterns, 0, "no legalization");
+    for (micro_batch, threads) in [(8usize, 1usize), (2, 3), (8, 4)] {
+        let (other, other_report) = sample(micro_batch, threads, &spec);
+        assert_eq!(
+            reference, other,
+            "micro_batch={micro_batch} threads={threads} changed the topologies"
+        );
+        assert_eq!(reference_report, other_report);
+    }
+    let (other_seed, _) = sample(1, 1, &spec.clone().seed(46));
+    assert_ne!(reference, other_seed, "the seed is the knob");
 }
