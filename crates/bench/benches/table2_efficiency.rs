@@ -10,7 +10,7 @@ use dp_bench::{bench_patterns, bench_topology};
 use dp_diffusion::{BatchScratch, NoiseSchedule, Sampler, UniformDenoiser};
 use dp_drc::DesignRules;
 use dp_legalize::{Init, Solver, SolverConfig};
-use dp_nn::{Precision, UNet, UNetConfig};
+use dp_nn::{UNet, UNetConfig};
 use rand::SeedableRng;
 
 fn sampling(c: &mut Criterion) {
@@ -63,20 +63,6 @@ fn sampling(c: &mut Criterion) {
                 .map(|i| rand::rngs::StdRng::seed_from_u64(round * 8 + i))
                 .collect();
             sampler.sample_batch_with(&denoiser, 16, 8, &mut rngs, &mut scratch)
-        })
-    });
-    // The reduced-precision opt-in (`Precision::Bf16`): bf16-rounded
-    // packed weights on the same single-lane steady-state path. The
-    // architecture is identical, so any delta is pure memory-bandwidth
-    // effect on the packed panels.
-    let mut bf16_denoiser = dp_diffusion::NeuralDenoiser::new(UNet::new(&config, &mut rng));
-    bf16_denoiser.unet_mut().prepack_with(Precision::Bf16);
-    group.bench_function("topology_per_sample_bf16", |b| {
-        let mut round = 0u64;
-        b.iter(|| {
-            round += 1;
-            let mut rngs = vec![rand::rngs::StdRng::seed_from_u64(round)];
-            sampler.sample_batch_with(&bf16_denoiser, 16, 8, &mut rngs, &mut scratch)
         })
     });
     // The conditioned single-lane steady-state path: a quarter of the

@@ -30,7 +30,7 @@ use diffpattern::render::{layout_to_pgm, pattern_to_ascii};
 use diffpattern::squish::{extend_to_side, DeepSquishTensor};
 use diffpattern::{
     hotspot_guidance, repair_conditioning, Conditioning, FrozenRegion, Generation, LibrarySink,
-    PatternService, Pipeline, PipelineConfig, Precision, RequestSpec, TrainedModel,
+    PatternService, Pipeline, PipelineConfig, RequestSpec, TrainedModel,
 };
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   dpgen train --iters N --model FILE [--seed N] [--steps K]
   dpgen gen   --model FILE --count N --out DIR [--seed N] [--stride N] [--threads N]
-              [--micro-batch N] [--precision exact|bf16] [--rules PRESET]...
+              [--micro-batch N] [--rules PRESET]...
               [--freeze-rect X,Y,W,H] [--freeze-from FILE] [--avoid-hotspots]
   dpgen demo  [--iters N] [--count N] [--seed N] [--threads N]
   dpgen library build --model FILE --out DIR [--count N] [--seed N] [--rules PRESET]...
@@ -90,10 +90,6 @@ const USAGE: &str = "usage:
 rule presets: standard, larger-space, smaller-area
 (repeat --rules to serve several rule sets from one engine; each preset
 gets its own manifest under OUT/<preset>/)
-
---precision bf16 samples through a bfloat16-weight copy of the model:
-faster U-Net calls, still deterministic per (seed, index), but outputs
-differ from the default exact path.
 
 conditional generation (gen): --freeze-rect X,Y,W,H freezes the cells of
 that topology-matrix rectangle (cell coordinates, row 0 at the bottom)
@@ -150,14 +146,6 @@ fn opt_usize(options: &Options, key: &str, default: usize) -> usize {
 
 fn opt_str<'o>(options: &'o Options, key: &str) -> Option<&'o str> {
     options.get(key).and_then(|v| v.last()).map(String::as_str)
-}
-
-fn opt_precision(options: &Options) -> Result<Precision, Box<dyn std::error::Error>> {
-    match opt_str(options, "precision") {
-        None => Ok(Precision::Exact),
-        Some(s) => Precision::parse(s)
-            .ok_or_else(|| format!("unknown precision `{s}` (expected exact or bf16)").into()),
-    }
 }
 
 fn model_path(options: &Options, command: &str) -> Result<String, Box<dyn std::error::Error>> {
@@ -348,7 +336,6 @@ fn generate(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let seed = opt_usize(options, "seed", 43) as u64;
     let threads = opt_usize(options, "threads", 0);
     let micro_batch = opt_usize(options, "micro-batch", 8);
-    let precision = opt_precision(options)?;
     let presets: Vec<String> = options
         .get("rules")
         .cloned()
@@ -368,7 +355,7 @@ fn generate(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         .threads(threads)
         .micro_batch(micro_batch)
         .build()?;
-    let base = pipeline.request_spec(count).seed(seed).precision(precision);
+    let base = pipeline.request_spec(count).seed(seed);
     let frozen = freeze_region(&service, &base, options)?;
     let avoid = options.contains_key("avoid-hotspots");
     let channels = service.model().channels();

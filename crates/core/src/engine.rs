@@ -17,13 +17,13 @@
 //! `Arc<TrainedModel>`.
 
 use crate::{GenerateError, Generated, PipelineReport, Provenance};
-use dp_diffusion::{BatchScratch, Conditioning, Precision, Sampler, TrainedModel};
+use dp_diffusion::{BatchScratch, Conditioning, Sampler, TrainedModel};
 use dp_geometry::{bowtie, BitGrid};
 use dp_legalize::{Init, Solver};
 use dp_squish::{DeepSquishTensor, SquishPattern};
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// What a finished lane hands back through its request's channel.
@@ -61,16 +61,11 @@ pub(crate) struct RequestJob {
     /// RNG stream from `item_seed(seed, first_index + i)`, so a request
     /// is an exact sub-range of the `(seed, index)` item space.
     pub(crate) first_index: usize,
-    /// Reverse-sampling stride; with `precision` and the conditioning
-    /// hash it forms the [`LanePlan`] key: lanes may share a lock-step
-    /// micro-batch only when they traverse the same denoising step
-    /// sequence through the same model under the same constraints.
+    /// Reverse-sampling stride; with the conditioning hash it forms the
+    /// [`LanePlan`] key: lanes may share a lock-step micro-batch only
+    /// when they traverse the same denoising step sequence under the
+    /// same constraints.
     pub(crate) stride: usize,
-    /// Which prepacked model variant evaluates this request's lanes
-    /// ([`Precision::Exact`] keeps the bit-exact contract; `Bf16` runs the
-    /// engine's lazily-built reduced-precision copy). Part of the plan
-    /// key alongside `stride`.
-    pub(crate) precision: Precision,
     /// The retained denoising steps for `stride > 1` (precomputed once).
     pub(crate) retained: Arc<[usize]>,
     /// Per-lane sampling constraints (frozen region, motif guidance) —
@@ -79,7 +74,7 @@ pub(crate) struct RequestJob {
     /// exact random sequence the pre-conditioning sampler drew.
     pub(crate) conditioning: Arc<Conditioning>,
     /// [`Conditioning::plan_hash`] of `conditioning`, precomputed at
-    /// submit: the third component of the micro-batch plan key (lanes
+    /// submit: the second component of the micro-batch plan key (lanes
     /// only share a lock-step batch when their conditioning matches).
     pub(crate) cond_hash: u64,
     pub(crate) max_attempts: usize,
@@ -93,15 +88,13 @@ pub(crate) struct RequestJob {
 }
 
 /// The micro-batch *plan key*: the sampling parameters every lane of a
-/// lock-step chunk must agree on. Stride and precision decide which
-/// denoising steps run through which model variant; the conditioning
-/// hash keeps differently-constrained lanes out of each other's batches
-/// (the batched sampler applies one [`Conditioning`] to the whole
-/// chunk).
+/// lock-step chunk must agree on. The stride decides which denoising
+/// steps run; the conditioning hash keeps differently-constrained lanes
+/// out of each other's batches (the batched sampler applies one
+/// [`Conditioning`] to the whole chunk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LanePlan {
     stride: usize,
-    precision: Precision,
     cond_hash: u64,
 }
 
@@ -109,7 +102,6 @@ impl LanePlan {
     fn of(job: &RequestJob) -> Self {
         LanePlan {
             stride: job.stride,
-            precision: job.precision,
             cond_hash: job.cond_hash,
         }
     }
@@ -165,11 +157,6 @@ pub(crate) struct Engine {
     /// Lanes claimed by workers whose result message has not been
     /// delivered yet — the live load figure `/metrics` exposes.
     lanes_in_flight: AtomicUsize,
-    /// The bf16-prepacked model copy, built from the workers' exact model
-    /// on the first [`Precision::Bf16`] chunk and shared by every worker
-    /// thereafter (the master weights are identical, only the packed GEMM
-    /// panels differ — see [`TrainedModel::with_precision`]).
-    bf16_model: OnceLock<TrainedModel>,
     sched: Mutex<Sched>,
     work: Condvar,
 }
@@ -204,7 +191,6 @@ impl Engine {
             micro_batch: micro_batch.max(1),
             max_queued,
             lanes_in_flight: AtomicUsize::new(0),
-            bf16_model: OnceLock::new(),
             sched: Mutex::new(Sched {
                 queue: Vec::new(),
                 next_seq: 0,
@@ -376,7 +362,7 @@ impl Engine {
     /// Claims the next micro-batch of lanes, drawing from as many pending
     /// requests as needed to fill it (the cross-request batching at the
     /// heart of the service). All claimed lanes share one [`LanePlan`]
-    /// (stride, precision and conditioning); requests on a different plan
+    /// (stride and conditioning); requests on a different plan
     /// wait for their own batch.
     ///
     /// Blocks while no claimable work is queued; returns `None` once the
@@ -399,7 +385,6 @@ impl Engine {
             let mut lanes: Vec<Lane> = Vec::new();
             let mut plan = LanePlan {
                 stride: 0,
-                precision: Precision::Exact,
                 cond_hash: 0,
             };
             let mut i = 0;
@@ -459,7 +444,8 @@ impl Engine {
     /// survives — its finish stage (donor pick + solve for
     /// [`Mode::Generate`], a no-op for [`Mode::TopologyOnly`]) on its own
     /// RNG. Lanes leave the round set on success, error or a spent attempt
-    /// budget, so a chunk's denoising batch only ever shrinks.
+    /// budget, so a chunk's denoising batch only ever shrinks. Every chunk
+    /// evaluates `model`, the service's one prepacked f32 model.
     ///
     /// A lane's RNG sees exactly the draw sequence a solo run would
     /// consume (sample bits, then donor/solver draws, then the next
@@ -471,15 +457,6 @@ impl Engine {
     /// produced is discarded by the dead channel.
     fn process_chunk(&self, model: &TrainedModel, lanes: &mut [Lane], scratch: &mut BatchScratch) {
         let (channels, side) = (self.channels, self.side);
-        // All lanes of a chunk share one plan (claim's invariant), so the
-        // model variant is a per-chunk choice. The bf16 copy is built once
-        // per engine, on first use, and shared by every worker.
-        let model = match lanes.first().map(|l| l.req.job.precision) {
-            Some(Precision::Bf16) => self
-                .bf16_model
-                .get_or_init(|| model.with_precision(Precision::Bf16)),
-            _ => model,
-        };
         loop {
             // dp-lint: allow(nondeterministic-time): deadline observation between rounds; never reaches pattern bytes
             let now = Instant::now();

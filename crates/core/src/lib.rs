@@ -116,7 +116,7 @@ pub use source::{
     SourceBatch,
 };
 
-pub use dp_diffusion::{Conditioning, FrozenRegion, Motif, MotifGuidance, Precision, TrainedModel};
+pub use dp_diffusion::{Conditioning, FrozenRegion, Motif, MotifGuidance, TrainedModel};
 
 pub use dp_baselines as baselines;
 pub use dp_datagen as datagen;

@@ -53,7 +53,7 @@ pub struct PipelineConfig {
     /// Reverse-sampling stride. 1 runs the full ancestral chain (paper
     /// Eq. 13); larger values use the respaced DDIM-style sampler with
     /// `K / stride` denoiser calls per topology (see
-    /// [`dp_diffusion::Sampler::sample_respaced`]).
+    /// [`dp_diffusion::Sampler::sample_conditioned_batch_with`]).
     pub sample_stride: usize,
     /// Pre-filter policy. `false` is the paper's behaviour: topologies with
     /// bow-ties are rejected outright (the paper reports < 0.1 % rejection

@@ -58,7 +58,7 @@
 
 use crate::engine::{self, Engine, LaneMsg, Mode, Payload, RequestJob};
 use crate::{ConfigError, GenerateError, PipelineError, PipelineReport};
-use dp_diffusion::{Conditioning, Precision, TrainedModel};
+use dp_diffusion::{Conditioning, TrainedModel};
 use dp_drc::DesignRules;
 use dp_geometry::BitGrid;
 use dp_legalize::{SolveStats, Solver, SolverConfig};
@@ -109,14 +109,6 @@ pub struct RequestSpec {
     /// Reverse-sampling stride: 1 runs the full ancestral chain, larger
     /// values use the respaced sampler with `K / stride` denoiser calls.
     pub sample_stride: usize,
-    /// Which prepacked model variant runs this request's U-Net calls.
-    /// [`Precision::Exact`] (the default) keeps the service's bit-exact
-    /// determinism contract. [`Precision::Bf16`] evaluates a
-    /// bfloat16-weight copy of the model (built lazily, once per service)
-    /// — still deterministic for a given `(seed, index)`, but its outputs
-    /// differ from the exact path's. Lanes only share a micro-batch with
-    /// lanes of the same precision.
-    pub precision: Precision,
     /// Per-item sampling attempt budget before the slot is counted as
     /// shortfall.
     pub max_attempts: usize,
@@ -160,7 +152,6 @@ impl RequestSpec {
             rules: DesignRules::standard(),
             solver: SolverConfig::for_window(2048, 2048),
             sample_stride: 1,
-            precision: Precision::Exact,
             max_attempts: 4,
             repair_bowties: true,
             donors: Arc::from([]),
@@ -180,13 +171,6 @@ impl RequestSpec {
     /// [`RequestSpec::deadline`] field for the expiry semantics).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Returns the spec with the given model precision (see the
-    /// [`RequestSpec::precision`] field for the accuracy trade-off).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -500,7 +484,6 @@ impl PatternService {
             count: spec.count,
             first_index: spec.first_index,
             stride: spec.sample_stride,
-            precision: spec.precision,
             retained: self.core.engine.strided_steps(spec.sample_stride).into(),
             max_attempts: spec.max_attempts,
             repair_bowties: spec.repair_bowties,

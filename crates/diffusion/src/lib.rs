@@ -71,7 +71,4 @@ pub use schedule::{
 };
 pub use trainer::{TrainConfig, TrainReport, Trainer};
 
-/// Re-exported so downstream crates can pick a [`TrainedModel`] prepack
-/// precision without depending on `dp_nn` directly.
-pub use dp_nn::Precision;
 pub use dp_squish::DeepSquishTensor;

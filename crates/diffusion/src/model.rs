@@ -10,14 +10,15 @@
 //! pipeline, `load_params`, `mark_trained`" dance.
 
 use crate::{DiffusionError, InferenceDenoiser, NeuralDenoiser, NoiseSchedule, Sampler};
-use dp_nn::{load_params, save_params, Precision, UNet, UNetConfig};
+use dp_nn::{load_params, save_params, UNet, UNetConfig};
 use dp_squish::DeepSquishTensor;
 use rand::{Rng, SeedableRng};
 
 /// Magic bytes identifying a serialised model blob.
 const MAGIC: &[u8; 8] = b"DPMODEL\x01";
-/// Blob format version. Version 2 added the prepack precision field
-/// (version-1 blobs load as [`Precision::Exact`]).
+/// Blob format version. Version 2 added a weight-precision tag word after
+/// `side`; the only format left is tag 0 (exact f32), which
+/// [`TrainedModel::save`] always writes and version-1 blobs imply.
 const VERSION: u32 = 2;
 
 /// A trained discrete-diffusion model: U-Net weights, noise schedule and
@@ -35,7 +36,6 @@ pub struct TrainedModel {
     denoiser: NeuralDenoiser,
     schedule: NoiseSchedule,
     side: usize,
-    precision: Precision,
 }
 
 impl TrainedModel {
@@ -47,27 +47,9 @@ impl TrainedModel {
     /// Returns [`DiffusionError::BadModelBlob`] when `side` is zero or the
     /// fold channel count is not a perfect square.
     pub fn new(
-        denoiser: NeuralDenoiser,
-        schedule: NoiseSchedule,
-        side: usize,
-    ) -> Result<Self, DiffusionError> {
-        Self::new_with_precision(denoiser, schedule, side, Precision::Exact)
-    }
-
-    /// [`TrainedModel::new`] with an explicit prepack precision (see
-    /// [`Precision`]): `Exact` keeps inference bit-identical to the
-    /// training forward pass; `Bf16` rounds the frozen packed weight
-    /// copies to bfloat16 for faster, slightly lossy sampling. The master
-    /// weights stay f32 either way, so [`TrainedModel::save`] is lossless.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainedModel::new`].
-    pub fn new_with_precision(
         mut denoiser: NeuralDenoiser,
         schedule: NoiseSchedule,
         side: usize,
-        precision: Precision,
     ) -> Result<Self, DiffusionError> {
         if side == 0 {
             return Err(DiffusionError::BadModelBlob {
@@ -84,31 +66,12 @@ impl TrainedModel {
         // Freeze point: the weights are final, so precompute every
         // layer's packed/transposed GEMM operand once. Sampling then
         // never re-reshapes a kernel tensor.
-        denoiser.unet_mut().prepack_with(precision);
+        denoiser.unet_mut().prepack();
         Ok(TrainedModel {
             denoiser,
             schedule,
             side,
-            precision,
         })
-    }
-
-    /// The precision the packed inference weights were built at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// A copy of this model re-prepacked at `precision`. The underlying
-    /// f32 master weights are shared history — only the frozen packed GEMM
-    /// operands are rebuilt — so converting `Bf16 -> Exact` recovers the
-    /// bit-exact model.
-    pub fn with_precision(&self, precision: Precision) -> TrainedModel {
-        let mut copy = self.clone();
-        if precision != self.precision {
-            copy.denoiser.unet_mut().prepack_with(precision);
-            copy.precision = precision;
-        }
-        copy
     }
 
     /// Fold channel count `C` of the Deep Squish tensors.
@@ -173,13 +136,7 @@ impl TrainedModel {
         push(&mut buf, config.groups);
         buf.extend_from_slice(&config.dropout.to_le_bytes());
         push(&mut buf, self.side);
-        push(
-            &mut buf,
-            match self.precision {
-                Precision::Exact => 0,
-                Precision::Bf16 => 1,
-            },
-        );
+        push(&mut buf, 0); // precision tag: exact f32
         push(&mut buf, self.schedule.steps());
         for &b in self.schedule.betas() {
             buf.extend_from_slice(&b.to_le_bytes());
@@ -257,16 +214,14 @@ impl TrainedModel {
         if side == 0 || side > 65_536 {
             return Err(bad("implausible spatial side"));
         }
-        // Version 1 predates the precision field and always meant exact.
-        let precision = if version >= 2 {
+        // Version 1 predates the precision tag and always meant exact.
+        if version >= 2 {
             match r.u32()? {
-                0 => Precision::Exact,
-                1 => Precision::Bf16,
+                0 => {}
+                1 => return Err(bad("bfloat16 weight precision (tag 1) was removed")),
                 other => return Err(bad(&format!("unknown precision tag {other}"))),
             }
-        } else {
-            Precision::Exact
-        };
+        }
         let steps = r.u32()? as usize;
         if steps == 0 || steps > 1 << 20 {
             return Err(bad("implausible diffusion step count"));
@@ -285,6 +240,17 @@ impl TrainedModel {
             groups,
             dropout,
         };
+        // The declared architecture must fit the payload (4 bytes per f32
+        // parameter) before anything is built: construction allocates and
+        // initialises every parameter, and an allocation failure aborts
+        // rather than unwinds.
+        let fits = config
+            .parameter_count()
+            .and_then(|n| n.checked_mul(4))
+            .is_some_and(|bytes| bytes <= r.rest().len());
+        if !fits {
+            return Err(bad("declared architecture exceeds the weight payload"));
+        }
         // Weight values are fully overwritten below; the init RNG only
         // determines the (discarded) random starting point. Construction
         // asserts internal consistency rules (e.g. GroupNorm divisibility)
@@ -298,7 +264,7 @@ impl TrainedModel {
         }))
         .map_err(|_| bad("architecture declared by the blob is inconsistent"))?;
         load_params(&mut unet.params_mut(), r.rest())?;
-        TrainedModel::new_with_precision(NeuralDenoiser::new(unet), schedule, side, precision)
+        TrainedModel::new(NeuralDenoiser::new(unet), schedule, side)
     }
 }
 
@@ -430,52 +396,50 @@ mod tests {
         assert_eq!(a, b, "round-tripped model must sample identically");
     }
 
+    /// tiny_unet(1) layout: ... dropout 56..60, side 60..64, precision
+    /// tag 64..68 (v2 only).
+    const TAG: std::ops::Range<usize> = 64..68;
+
     #[test]
-    fn bf16_model_round_trips_and_recovers_exact() {
-        let model = trained_tiny_model(7);
-        assert_eq!(model.precision(), Precision::Exact);
-        let bf16 = model.with_precision(Precision::Bf16);
-        assert_eq!(bf16.precision(), Precision::Bf16);
-
-        let restored = TrainedModel::load(&bf16.save()).unwrap();
-        assert_eq!(restored.precision(), Precision::Bf16);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let a = bf16.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let b = restored.sample_one(&mut rng);
-        assert_eq!(a, b, "bf16 model must survive a save/load round trip");
-
-        // The blob stores f32 master weights, so converting the restored
-        // bf16 model back to exact recovers the original bit-for-bit.
-        let back = restored.with_precision(Precision::Exact);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let c = back.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let d = model.sample_one(&mut rng);
-        assert_eq!(c, d, "exact model must be recoverable from a bf16 blob");
+    fn save_writes_version_2_and_precision_tag_zero() {
+        let blob = trained_tiny_model(7).save();
+        assert_eq!(&blob[8..12], &2u32.to_le_bytes(), "format version");
+        assert_eq!(&blob[60..64], &8u32.to_le_bytes(), "side precedes the tag");
+        assert_eq!(&blob[TAG], &0u32.to_le_bytes(), "precision tag");
     }
 
     #[test]
-    fn version1_blob_without_precision_field_loads_as_exact() {
-        // tiny_unet(1) layout: ... dropout 56..60, side 60..64,
-        // precision 64..68 (v2 only). A v1 blob is the v2 blob with the
-        // version field rewritten and the precision word removed.
+    fn removed_precision_tag_is_a_typed_error() {
+        let mut blob = trained_tiny_model(7).save();
+        blob[TAG].copy_from_slice(&1u32.to_le_bytes());
+        match TrainedModel::load(&blob) {
+            Err(DiffusionError::BadModelBlob { reason }) => {
+                assert!(reason.contains("removed"), "{reason}")
+            }
+            other => panic!("tag 1 must be rejected as BadModelBlob, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn version1_blob_without_precision_tag_loads_identically() {
+        // A v1 blob is the v2 blob with the version field rewritten and
+        // the precision tag removed.
         let model = trained_tiny_model(6);
         let blob = model.save();
         let mut v1 = blob.clone();
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        v1.drain(64..68);
+        v1.drain(TAG);
         let restored = TrainedModel::load(&v1).unwrap();
-        assert_eq!(restored.precision(), Precision::Exact);
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let a = model.sample_one(&mut rng);
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let b = restored.sample_one(&mut rng);
         assert_eq!(a, b, "v1 blob must load as the exact model");
+        assert_eq!(restored.save(), blob, "re-saving a v1 blob writes v2 tag 0");
 
         // An unknown precision tag in a v2 blob is rejected cleanly.
         let mut tagged = blob;
-        tagged[64..68].copy_from_slice(&7u32.to_le_bytes());
+        tagged[TAG].copy_from_slice(&7u32.to_le_bytes());
         assert!(matches!(
             TrainedModel::load(&tagged),
             Err(DiffusionError::BadModelBlob { .. })

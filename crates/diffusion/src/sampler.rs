@@ -215,128 +215,6 @@ impl Sampler {
         )
     }
 
-    /// Respaced (DDIM-style, paper ref. \[12\]) sampling: traverses only
-    /// the sub-sequence `0 < k_1 < k_2 < ... <= K` of steps, jumping
-    /// directly between consecutive entries with the generalised posterior
-    /// `q(x_{k_i} | x_{k_{i+1}}, x̃_0)`. One denoiser call per retained step
-    /// — `stride` x fewer network evaluations at modest quality cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `retained` is empty, unsorted, contains 0 or exceeds K.
-    pub fn sample_respaced(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut MutPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            None,
-            rng,
-            &mut SampleScratch::new(),
-        )
-    }
-
-    /// [`Sampler::sample_respaced`] through a shared-reference denoiser.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_respaced`].
-    pub fn sample_respaced_infer(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.sample_respaced_with(
-            denoiser,
-            channels,
-            side,
-            retained,
-            rng,
-            &mut SampleScratch::new(),
-        )
-    }
-
-    /// [`Sampler::sample_respaced_infer`] reusing a caller-owned
-    /// [`SampleScratch`] (see [`Sampler::sample_one_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_respaced`].
-    pub fn sample_respaced_with(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            None,
-            rng,
-            scratch,
-        )
-    }
-
-    /// Conditioned single-lane sampling over an explicit retained-step
-    /// subset (the full sequence [`Sampler::strided_steps`]`(1)` gives the
-    /// plain ancestral chain). The conditioning bends this lane's chain —
-    /// frozen entries are q-sampled to the step's noise level after every
-    /// reverse step and clamped exactly at the end; motif guidance
-    /// reweights the terminal categorical draw's logits (see
-    /// [`Conditioning`]).
-    ///
-    /// Determinism: the lane consumes only `rng`, in a fixed order, so the
-    /// output is a pure function of `(denoiser, rng stream, conditioning)`.
-    /// Under [`Conditioning::none`] no extra draw and no probability
-    /// perturbation happens — the result is bit-identical to
-    /// [`Sampler::sample_respaced_with`].
-    ///
-    /// # Panics
-    ///
-    /// Same retained-step conditions as [`Sampler::sample_respaced`]; also
-    /// panics when the conditioning's frozen mask does not span exactly
-    /// `channels * side * side` entries (validate shapes upstream with
-    /// [`Conditioning::matches_entries`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_conditioned_with(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        conditioning: &Conditioning,
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            conditioning,
-            None,
-            rng,
-            scratch,
-        )
-    }
-
     /// Micro-batched ancestral sampling: advances `rngs.len()` independent
     /// chains in lock-step, evaluating the denoiser **once per step** on
     /// the whole batch while drawing every lane's randomness from that
@@ -369,51 +247,35 @@ impl Sampler {
         )
     }
 
-    /// Micro-batched respaced sampling: the [`Sampler::sample_respaced_with`]
-    /// mathematics advanced across `rngs.len()` lock-step lanes, with the
-    /// same per-lane bit-identity guarantee as
-    /// [`Sampler::sample_batch_with`].
+    /// THE batched core: `rngs.len()` lock-step lanes sharing one
+    /// retained-step subset and one `conditioning`.
     ///
-    /// # Panics
+    /// *Respacing* (DDIM-style, paper ref. \[12\]): the chain traverses
+    /// only the steps `0 < k_1 < k_2 < ... <= K` of `retained`, jumping
+    /// directly between consecutive entries with the generalised
+    /// posterior `q(x_{k_i} | x_{k_{i+1}}, x̃_0)` — one denoiser call per
+    /// retained step. [`Sampler::strided_steps`]`(1)` is the plain
+    /// ancestral chain, which [`Sampler::sample_batch_with`] runs.
     ///
-    /// Same conditions as [`Sampler::sample_respaced`] (checked even for
-    /// an empty batch, so a misconfigured schedule never goes unnoticed).
-    pub fn sample_respaced_batch_with<R: Rng>(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rngs: &mut [R],
-        scratch: &mut BatchScratch,
-    ) -> Vec<DeepSquishTensor> {
-        self.sample_conditioned_batch_with(
-            denoiser,
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            rngs,
-            scratch,
-        )
-    }
-
-    /// THE batched core: [`Sampler::sample_conditioned_with`] advanced
-    /// across `rngs.len()` lock-step lanes sharing one `conditioning`.
-    /// Every unconditioned entry point in this crate funnels here (with
-    /// the full step sequence and [`Conditioning::none`]), so there is
-    /// exactly one implementation of the reverse-chain mathematics.
+    /// *Conditioning* bends every lane's chain: frozen entries are
+    /// q-sampled to the step's noise level after every reverse step and
+    /// clamped exactly at the end; motif guidance reweights the terminal
+    /// categorical draw's logits (see [`Conditioning`]). Under
+    /// [`Conditioning::none`] no extra draw and no probability
+    /// perturbation happens.
     ///
     /// Per-lane bit-identity holds as for [`Sampler::sample_batch_with`]:
-    /// lane `i` equals [`Sampler::sample_conditioned_with`] driven by
-    /// `rngs[i]` alone, because frozen-bit re-noising draws from the
-    /// lane's own RNG right after that lane's reverse update.
+    /// lane `i` equals the single-lane chain driven by `rngs[i]` alone,
+    /// because frozen-bit re-noising draws from the lane's own RNG right
+    /// after that lane's reverse update.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Sampler::sample_conditioned_with`] (checked
-    /// even for an empty batch, so a misconfigured schedule or mask never
-    /// goes unnoticed).
+    /// Panics when `retained` is empty, unsorted, contains 0 or exceeds
+    /// K, or when the conditioning's frozen mask does not span exactly
+    /// `channels * side * side` entries (validate shapes upstream with
+    /// [`Conditioning::matches_entries`]). Checked even for an empty
+    /// batch, so a misconfigured schedule or mask never goes unnoticed.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_conditioned_batch_with<R: Rng>(
         &self,
@@ -589,7 +451,7 @@ impl Sampler {
     }
 
     /// Builds an evenly strided retained-step subset `[s, 2s, ..., K]` for
-    /// [`Sampler::sample_respaced`].
+    /// [`Sampler::sample_conditioned_batch_with`].
     ///
     /// The respacing contract, pinned by unit tests:
     ///
@@ -613,24 +475,6 @@ impl Sampler {
 
     /// Draws one sample, recording snapshots at the requested steps
     /// (plus the initial noise at `k = K` and the final sample at `k = 0`).
-    pub fn sample_with_trace(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        snapshot_steps: &[usize],
-        rng: &mut impl Rng,
-    ) -> SampleTrace {
-        self.trace_core(
-            &mut MutPredictor(denoiser),
-            channels,
-            side,
-            snapshot_steps,
-            rng,
-        )
-    }
-
-    /// [`Sampler::sample_with_trace`] through a shared-reference denoiser.
     pub fn sample_with_trace_infer(
         &self,
         denoiser: &dyn InferenceDenoiser,
@@ -756,6 +600,62 @@ mod tests {
         NoiseSchedule::linear(100, 0.01, 0.5).unwrap()
     }
 
+    /// Single-lane reference chains through the private cores — the
+    /// sequential baselines the batched and conditioned entries are
+    /// checked against.
+    impl Sampler {
+        fn solo(
+            &self,
+            d: &dyn InferenceDenoiser,
+            side: usize,
+            steps: &[usize],
+            cond: &Conditioning,
+            rng: &mut impl Rng,
+            scratch: &mut SampleScratch,
+        ) -> DeepSquishTensor {
+            self.conditioned_core(
+                &mut InferPredictor(d),
+                1,
+                side,
+                steps,
+                cond,
+                None,
+                rng,
+                scratch,
+            )
+        }
+
+        fn solo_mut(
+            &self,
+            d: &mut dyn Denoiser,
+            side: usize,
+            steps: &[usize],
+            rng: &mut impl Rng,
+        ) -> DeepSquishTensor {
+            let (none, mut scratch) = (Conditioning::none(), SampleScratch::new());
+            self.conditioned_core(
+                &mut MutPredictor(d),
+                1,
+                side,
+                steps,
+                &none,
+                None,
+                rng,
+                &mut scratch,
+            )
+        }
+
+        fn trace_mut(
+            &self,
+            d: &mut dyn Denoiser,
+            side: usize,
+            snapshot_steps: &[usize],
+            rng: &mut impl Rng,
+        ) -> SampleTrace {
+            self.trace_core(&mut MutPredictor(d), 1, side, snapshot_steps, rng)
+        }
+    }
+
     #[test]
     fn oracle_sampling_reconstructs_x0() {
         // The strongest correctness check of the reverse-process math: with
@@ -791,9 +691,11 @@ mod tests {
         assert_eq!(a, b);
         let retained = sampler.strided_steps(10);
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let a = sampler.sample_respaced(&mut oracle, 1, 8, &retained, &mut rng);
+        let a = sampler.solo_mut(&mut oracle, 8, &retained, &mut rng);
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let b = sampler.sample_respaced_infer(&oracle, 1, 8, &retained, &mut rng);
+        let none = Conditioning::none();
+        let mut scratch = SampleScratch::new();
+        let b = sampler.solo(&oracle, 8, &retained, &none, &mut rng, &mut scratch);
         assert_eq!(a, b);
     }
 
@@ -815,10 +717,12 @@ mod tests {
         let fresh = sampler.sample_one_infer(&oracle, 1, 8, &mut rng);
         assert_eq!(warm, fresh);
         let retained = sampler.strided_steps(7);
+        let none = Conditioning::none();
         let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let warm = sampler.sample_respaced_with(&oracle, 1, 8, &retained, &mut rng, &mut scratch);
+        let warm = sampler.solo(&oracle, 8, &retained, &none, &mut rng, &mut scratch);
         let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let fresh = sampler.sample_respaced_infer(&oracle, 1, 8, &retained, &mut rng);
+        let mut cold = SampleScratch::new();
+        let fresh = sampler.solo(&oracle, 8, &retained, &none, &mut rng, &mut cold);
         assert_eq!(warm, fresh);
     }
 
@@ -842,7 +746,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let sampler = Sampler::new(schedule());
         let mut d = UniformDenoiser::new();
-        let trace = sampler.sample_with_trace(&mut d, 1, 4, &[50, 10], &mut rng);
+        let trace = sampler.trace_mut(&mut d, 4, &[50, 10], &mut rng);
         let ks: Vec<usize> = trace.snapshots.iter().map(|(k, _)| *k).collect();
         assert_eq!(ks, vec![100, 50, 10, 0]);
         assert_eq!(trace.sample, trace.snapshots.last().unwrap().1);
@@ -855,8 +759,11 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let via_chain = sampler.sample_one(&mut d, 1, 4, &mut rng);
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let via_trace = sampler.sample_with_trace(&mut d, 1, 4, &[], &mut rng);
+        let via_trace = sampler.trace_mut(&mut d, 4, &[], &mut rng);
         assert_eq!(via_chain, via_trace.sample);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let via_infer = sampler.sample_with_trace_infer(&d, 1, 4, &[], &mut rng);
+        assert_eq!(via_chain, via_infer.sample);
     }
 
     #[test]
@@ -883,7 +790,7 @@ mod tests {
         let sampler = Sampler::new(schedule());
         let retained = sampler.strided_steps(10);
         assert!(retained.len() <= 11);
-        let out = sampler.sample_respaced(&mut oracle, 1, 8, &retained, &mut rng);
+        let out = sampler.solo_mut(&mut oracle, 8, &retained, &mut rng);
         let hamming: usize = out
             .bits()
             .iter()
@@ -891,24 +798,6 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert!(hamming <= 2, "hamming {hamming}");
-    }
-
-    #[test]
-    fn respaced_full_sequence_matches_regular_statistics() {
-        // With stride 1, respaced sampling is the ordinary ancestral
-        // sampler; under a uniform denoiser both keep the fair-coin
-        // density.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let sampler = Sampler::new(schedule());
-        let full: Vec<usize> = (1..=100).collect();
-        let mut d = UniformDenoiser::new();
-        let mut ones = 0usize;
-        for _ in 0..4 {
-            let t = sampler.sample_respaced(&mut d, 1, 16, &full, &mut rng);
-            ones += t.bits().iter().filter(|&&b| b).count();
-        }
-        let frac = ones as f64 / (4.0 * 256.0);
-        assert!((frac - 0.5).abs() < 0.08, "{frac}");
     }
 
     #[test]
@@ -975,25 +864,21 @@ mod tests {
                 .iter()
                 .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
                 .collect();
-            let batched = sampler.sample_respaced_batch_with(
+            let none = Conditioning::none();
+            let batched = sampler.sample_conditioned_batch_with(
                 &oracle,
                 1,
                 8,
                 &retained,
+                &none,
                 &mut rngs,
                 &mut scratch,
             );
             for (li, &seed) in seeds.iter().enumerate() {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let solo = sampler.sample_respaced_with(
-                    &oracle,
-                    1,
-                    8,
-                    &retained,
-                    &mut rng,
-                    &mut single_scratch,
-                );
-                assert_eq!(batched[li], solo, "respaced B={batch} lane {li} diverged");
+                let lane =
+                    sampler.solo(&oracle, 8, &retained, &none, &mut rng, &mut single_scratch);
+                assert_eq!(batched[li], lane, "respaced B={batch} lane {li} diverged");
             }
         }
     }
@@ -1008,8 +893,9 @@ mod tests {
             .sample_batch_with(&oracle, 1, 8, &mut rngs, &mut scratch)
             .is_empty());
         let retained = sampler.strided_steps(10);
+        let none = Conditioning::none();
         assert!(sampler
-            .sample_respaced_batch_with(&oracle, 1, 8, &retained, &mut rngs, &mut scratch)
+            .sample_conditioned_batch_with(&oracle, 1, 8, &retained, &none, &mut rngs, &mut scratch)
             .is_empty());
     }
 
@@ -1019,36 +905,42 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         let sampler = Sampler::new(schedule());
         let mut d = UniformDenoiser::new();
-        let _ = sampler.sample_respaced(&mut d, 1, 4, &[50, 10], &mut rng);
+        let _ = sampler.solo_mut(&mut d, 4, &[50, 10], &mut rng);
     }
 
     #[test]
     fn conditioning_none_is_bit_identical_to_unconditioned_entry_points() {
-        // The conditioned core IS the unconditioned sampler under
-        // `Conditioning::none()`: same draws, same samples, single-lane
-        // and batched, full chain and respaced.
+        // The conditioned entry IS the unconditioned sampler under
+        // `Conditioning::none()`: same draws, same samples as the plain
+        // single-lane chain (full and respaced) and as the public
+        // unconditioned batch entry.
         let bits: Vec<bool> = (0..64).map(|i| i % 4 == 0).collect();
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
-        let oracle = OracleDenoiser::new(x0, 0.9);
+        let mut oracle = OracleDenoiser::new(x0, 0.9);
         let sampler = Sampler::new(schedule());
-        let none = Conditioning::none();
-        let full = sampler.strided_steps(1);
-        let retained = sampler.strided_steps(8);
-        let mut scratch = SampleScratch::new();
-        for (steps, seed) in [(&full, 41u64), (&retained, 42)] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let cond = sampler.sample_conditioned_with(
+        let (none, seeds) = (Conditioning::none(), [41u64, 43, 47]);
+        let rngs_of = || seeds.map(rand::rngs::StdRng::seed_from_u64);
+        let mut scratch = BatchScratch::new();
+        for stride in [1, 8] {
+            let steps = sampler.strided_steps(stride);
+            let mut rngs = rngs_of();
+            let cond = sampler.sample_conditioned_batch_with(
                 &oracle,
                 1,
                 8,
-                steps,
+                &steps,
                 &none,
-                &mut rng,
+                &mut rngs,
                 &mut scratch,
             );
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let plain = sampler.sample_respaced_with(&oracle, 1, 8, steps, &mut rng, &mut scratch);
-            assert_eq!(cond, plain);
+            for (li, rng) in rngs_of().iter_mut().enumerate() {
+                let plain = sampler.solo_mut(&mut oracle, 8, &steps, rng);
+                assert_eq!(cond[li], plain, "stride {stride} lane {li}");
+            }
+            if stride == 1 {
+                let plain = sampler.sample_batch_with(&oracle, 1, 8, &mut rngs_of(), &mut scratch);
+                assert_eq!(cond, plain);
+            }
         }
     }
 
@@ -1090,15 +982,7 @@ mod tests {
         let mut solo_scratch = SampleScratch::new();
         for (li, &seed) in seeds.iter().enumerate() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let solo = sampler.sample_conditioned_with(
-                &oracle,
-                1,
-                8,
-                &retained,
-                &cond,
-                &mut rng,
-                &mut solo_scratch,
-            );
+            let solo = sampler.solo(&oracle, 8, &retained, &cond, &mut rng, &mut solo_scratch);
             assert_eq!(batched[li], solo, "lane {li} diverged");
         }
     }
@@ -1126,9 +1010,8 @@ mod tests {
         let (mut plain, mut guided) = (0usize, 0usize);
         for seed in 0..8u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let t = sampler.sample_conditioned_with(
+            let t = sampler.solo(
                 &oracle,
-                1,
                 16,
                 &retained,
                 &Conditioning::none(),
@@ -1137,15 +1020,7 @@ mod tests {
             );
             plain += dots_present(&t);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let t = sampler.sample_conditioned_with(
-                &oracle,
-                1,
-                16,
-                &retained,
-                &cond,
-                &mut rng,
-                &mut scratch,
-            );
+            let t = sampler.solo(&oracle, 16, &retained, &cond, &mut rng, &mut scratch);
             guided += dots_present(&t);
         }
         assert!(
@@ -1162,15 +1037,7 @@ mod tests {
         let cond = Conditioning::none().with_frozen(frozen_checkerboard(32, 0, 8));
         let retained = sampler.strided_steps(10);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let _ = sampler.sample_conditioned_with(
-            &d,
-            1,
-            8, // 64 entries, mask has 32
-            &retained,
-            &cond,
-            &mut rng,
-            &mut SampleScratch::new(),
-        );
+        let _ = sampler.solo(&d, 8, &retained, &cond, &mut rng, &mut SampleScratch::new());
     }
 
     proptest::proptest! {
@@ -1192,9 +1059,7 @@ mod tests {
             let cond = Conditioning::none().with_frozen(region.clone());
             let retained = sampler.strided_steps(stride);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let out = sampler.sample_conditioned_with(
-                &d, 1, 8, &retained, &cond, &mut rng, &mut SampleScratch::new(),
-            );
+            let out = sampler.solo(&d, 8, &retained, &cond, &mut rng, &mut SampleScratch::new());
             for (i, &frozen) in region.mask().iter().enumerate() {
                 if frozen {
                     proptest::prop_assert_eq!(out.bits()[i], region.bits()[i]);
@@ -1212,7 +1077,7 @@ mod tests {
         let x0 = DeepSquishTensor::from_bits(1, 16, bits).unwrap();
         let mut oracle = OracleDenoiser::new(x0.clone(), 0.999);
         let sampler = Sampler::new(schedule());
-        let trace = sampler.sample_with_trace(&mut oracle, 1, 16, &[5], &mut rng);
+        let trace = sampler.trace_mut(&mut oracle, 16, &[5], &mut rng);
         let dist = |t: &DeepSquishTensor| -> usize {
             t.bits()
                 .iter()

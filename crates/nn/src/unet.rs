@@ -3,7 +3,7 @@ use crate::dropout::Dropout;
 use crate::embedding::{sinusoidal_embedding, sinusoidal_embedding_ws};
 use crate::tensor::{cat_channels_into, cat_channels_shape};
 use crate::upsample::{upsample_nearest2, upsample_nearest2_backward, upsample_nearest2_ws};
-use crate::{Conv2d, GroupNorm, Linear, Param, Precision, SelfAttention2d, Tensor, Workspace};
+use crate::{Conv2d, GroupNorm, Linear, Param, SelfAttention2d, Tensor, Workspace};
 use rand::Rng;
 
 /// Configuration of the DDPM-style U-Net backbone (paper §IV-A).
@@ -51,6 +51,73 @@ impl Default for UNetConfig {
             groups: 8,
             dropout: 0.1,
         }
+    }
+}
+
+impl UNetConfig {
+    /// Scalar parameter count of the network [`UNet::new`] builds from
+    /// this configuration, computed without building it or allocating.
+    /// Lets a decoder check that a declared architecture fits its payload
+    /// before paying for the allocation. `None` when a channel width or
+    /// `time_dim` exceeds `u32::MAX` or the count overflows `usize`.
+    pub fn parameter_count(&self) -> Option<usize> {
+        // With every width below 2^32, u128 arithmetic cannot overflow.
+        let width = |c: usize| u32::try_from(c).ok().map(u128::from);
+        let level_width = |m: usize| width(self.base_channels.checked_mul(m)?);
+        let (base, t) = (width(self.base_channels)?, width(self.time_dim)?);
+        let conv = |i: u128, o: u128, k: u128| i * o * k * k + o;
+        let norm = |c: u128| 2 * c;
+        let res = |i: u128, o: u128| {
+            let skip = if i == o { 0 } else { conv(i, o, 1) };
+            norm(i) + conv(i, o, 3) + t * o + o + norm(o) + conv(o, o, 3) + skip
+        };
+        let attn = |c: u128| norm(c) + 4 * conv(c, c, 1);
+        let attn_at = |level: usize, c: u128| {
+            if self.attn_resolutions.contains(&level) {
+                attn(c)
+            } else {
+                0
+            }
+        };
+        let mut total = 2 * (t * t + t) + conv(width(self.in_channels)?, base, 3);
+        // Encoder: mirrors the channel walk of `UNet::new`.
+        let mut ch = base;
+        let levels = self.channel_mults.len();
+        for (level, &mult) in self.channel_mults.iter().enumerate() {
+            let out = level_width(mult)?;
+            for _ in 0..self.num_res_blocks {
+                total += res(ch, out) + attn_at(level, out);
+                ch = out;
+            }
+            if level + 1 < levels {
+                total += conv(ch, ch, 3);
+            }
+        }
+        total += 2 * res(ch, ch) + attn(ch);
+        // Decoder: each level consumes `num_res_blocks` skips of its own
+        // width, then the one saved below them — the previous level's
+        // downsampling output, or the stem's `base` at level 0.
+        for (level, &mult) in self.channel_mults.iter().enumerate().rev() {
+            let out = level_width(mult)?;
+            let below = match level {
+                0 => base,
+                _ => level_width(self.channel_mults[level - 1])?,
+            };
+            for block in 0..=self.num_res_blocks {
+                let skip = if block < self.num_res_blocks {
+                    out
+                } else {
+                    below
+                };
+                total += res(ch + skip, out) + attn_at(level, out);
+                ch = out;
+            }
+            if level != 0 {
+                total += conv(ch, ch, 3);
+            }
+        }
+        total += norm(ch) + conv(ch, width(self.out_channels)?, 3);
+        usize::try_from(total).ok()
     }
 }
 
@@ -144,13 +211,13 @@ impl ResBlock {
     }
 
     /// Prepacks the weights of every GEMM-backed sublayer (see
-    /// [`Conv2d::prepack_with`]).
-    fn prepack_with(&mut self, precision: Precision) {
-        self.conv1.prepack_with(precision);
-        self.temb_proj.prepack_with(precision);
-        self.conv2.prepack_with(precision);
+    /// [`Conv2d::prepack`]).
+    fn prepack(&mut self) {
+        self.conv1.prepack();
+        self.temb_proj.prepack();
+        self.conv2.prepack();
         if let Some(skip) = &mut self.skip {
-            skip.prepack_with(precision);
+            skip.prepack();
         }
     }
 
@@ -473,44 +540,35 @@ impl UNet {
     /// parameters directly and then calling [`UNet::infer`] without a
     /// fresh `prepack`, however, leaves the packed copies stale.
     pub fn prepack(&mut self) {
-        self.prepack_with(Precision::Exact);
-    }
-
-    /// [`UNet::prepack`] with an explicit weight precision for every
-    /// packed copy: [`Precision::Exact`] is the bit-exact default;
-    /// [`Precision::Bf16`] rounds packed weights to bfloat16 (f32
-    /// accumulation) for a smaller working set at an opt-in accuracy
-    /// cost. Re-running with a different precision replaces the packs.
-    pub fn prepack_with(&mut self, precision: Precision) {
-        self.time_lin1.prepack_with(precision);
-        self.time_lin2.prepack_with(precision);
-        self.stem.prepack_with(precision);
+        self.time_lin1.prepack();
+        self.time_lin2.prepack();
+        self.stem.prepack();
         for stage in &mut self.down {
             for (res, attn) in &mut stage.blocks {
-                res.prepack_with(precision);
+                res.prepack();
                 if let Some(attn) = attn {
-                    attn.prepack_with(precision);
+                    attn.prepack();
                 }
             }
             if let Some(down) = &mut stage.down {
-                down.prepack_with(precision);
+                down.prepack();
             }
         }
-        self.mid1.prepack_with(precision);
-        self.mid_attn.prepack_with(precision);
-        self.mid2.prepack_with(precision);
+        self.mid1.prepack();
+        self.mid_attn.prepack();
+        self.mid2.prepack();
         for stage in &mut self.up {
             for (res, attn) in &mut stage.blocks {
-                res.prepack_with(precision);
+                res.prepack();
                 if let Some(attn) = attn {
-                    attn.prepack_with(precision);
+                    attn.prepack();
                 }
             }
             if let Some(upc) = &mut stage.up {
-                upc.prepack_with(precision);
+                upc.prepack();
             }
         }
-        self.head_conv.prepack_with(precision);
+        self.head_conv.prepack();
     }
 
     /// Inference-only forward pass from a shared reference.
@@ -989,6 +1047,53 @@ mod tests {
         let b = net.parameter_count();
         assert_eq!(a, b);
         assert!(a > 1000, "unexpectedly small network: {a}");
+    }
+
+    #[test]
+    fn config_parameter_count_matches_the_built_network() {
+        let configs = [
+            tiny_config(),
+            UNetConfig::default(),
+            UNetConfig {
+                channel_mults: vec![1],
+                attn_resolutions: vec![],
+                ..tiny_config()
+            },
+            UNetConfig {
+                in_channels: 4,
+                out_channels: 8,
+                base_channels: 6,
+                channel_mults: vec![1, 2, 3],
+                num_res_blocks: 2,
+                attn_resolutions: vec![0, 2],
+                time_dim: 12,
+                groups: 3,
+                dropout: 0.1,
+            },
+            UNetConfig {
+                base_channels: 8,
+                channel_mults: vec![2, 1, 1, 4],
+                num_res_blocks: 3,
+                attn_resolutions: vec![1, 3],
+                groups: 4,
+                ..tiny_config()
+            },
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for config in configs {
+            let built = UNet::new(&config, &mut rng).parameter_count();
+            assert_eq!(config.parameter_count(), Some(built), "{config:?}");
+        }
+        let wide = UNetConfig {
+            in_channels: usize::MAX / 2,
+            ..tiny_config()
+        };
+        assert_eq!(wide.parameter_count(), None, "width past u32");
+        let huge = UNetConfig {
+            base_channels: 1 << 31,
+            ..tiny_config()
+        };
+        assert_eq!(huge.parameter_count(), None, "count past usize");
     }
 
     #[test]
