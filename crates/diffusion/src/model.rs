@@ -502,6 +502,29 @@ mod tests {
     }
 
     #[test]
+    fn payload_bound_is_four_bytes_per_parameter() {
+        // The pre-build check asks for 4 payload bytes per declared
+        // parameter. One weight fewer trips it; exactly that many passes
+        // it and is left to the weight loader, which still finds the
+        // payload short (it also carries per-tensor shapes).
+        let model = trained_tiny_model(8);
+        let blob = model.save();
+        let payload = TAG.end + 4 + 8 * model.schedule().steps();
+        let need = 4 * tiny_unet(1).parameter_count().unwrap();
+        assert!(payload + need < blob.len());
+        match TrainedModel::load(&blob[..payload + need - 4]) {
+            Err(DiffusionError::BadModelBlob { reason }) => {
+                assert!(reason.contains("payload"), "{reason}")
+            }
+            other => panic!("a short payload must be rejected as BadModelBlob, got {other:?}"),
+        }
+        assert!(matches!(
+            TrainedModel::load(&blob[..payload + need]),
+            Err(DiffusionError::Weights(_))
+        ));
+    }
+
+    #[test]
     fn matrix_side_accounts_for_fold_patch() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let denoiser = NeuralDenoiser::new(UNet::new(&tiny_unet(4), &mut rng));

@@ -801,6 +801,24 @@ mod tests {
     }
 
     #[test]
+    fn respaced_full_sequence_matches_regular_statistics() {
+        // With stride 1, respaced sampling is the ordinary ancestral
+        // sampler; under a uniform denoiser both keep the fair-coin
+        // density.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let sampler = Sampler::new(schedule());
+        let full: Vec<usize> = (1..=100).collect();
+        let mut d = UniformDenoiser::new();
+        let mut ones = 0usize;
+        for _ in 0..4 {
+            let t = sampler.solo_mut(&mut d, 16, &full, &mut rng);
+            ones += t.bits().iter().filter(|&&b| b).count();
+        }
+        let frac = ones as f64 / (4.0 * 256.0);
+        assert!((frac - 0.5).abs() < 0.08, "{frac}");
+    }
+
+    #[test]
     fn strided_steps_cover_endpoints() {
         let sampler = Sampler::new(schedule());
         let steps = sampler.strided_steps(25);
